@@ -41,11 +41,7 @@ from repro.analysis.sanitizer import (
     canonical_findings,
     merge_findings,
 )
-from repro.analysis.shardsafe import (
-    audit_runtime_modules,
-    mp_preflight,
-    shardsafe_graph,
-)
+from repro.analysis.shardsafe import audit_runtime_modules, shardsafe_graph
 
 __all__ = [
     "Finding",
@@ -62,7 +58,6 @@ __all__ = [
     "lint_graph",
     "lint_ptg",
     "merge_findings",
-    "mp_preflight",
     "shardsafe_graph",
     "Sanitizer",
 ]

@@ -228,13 +228,6 @@ SHD008 = _rule(
     "rank= hint, so the event lands on shard 0; annotate intentional "
     "cases with '# shard-safe: unranked-ok' or thread the rank through",
 )
-SHD009 = _rule(
-    "SHD009", "error", "mp-unpicklable-payload",
-    "a queued event payload fails registry pickling and cannot cross "
-    "the multiprocess engine's process boundary in a window batch; "
-    "schedule graph-owned callables instead of raw closures, keep event "
-    "arguments to plain data, or run with engine=sharded",
-)
 
 # ------------------------------------------------------------- race rules
 #

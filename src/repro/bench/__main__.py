@@ -41,12 +41,12 @@ engines are compared on host time with ``python -m repro.bench engine-bench``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import figures, history
 from repro.bench.harness import print_series, print_table, write_telemetry_bundle
-from repro.bench.parallel import default_processes
 from repro.bench.plot import print_chart
 from repro.sim.sharded import ENGINE_KINDS
 
@@ -133,10 +133,10 @@ def run_engine_bench(args: argparse.Namespace) -> int:
         engines=tuple(args.engines.split(",")),
         app=args.apps[0],
         seeds=args.seeds,
-        parallel=args.parallel,
         **cell_kwargs,
     )
-    print(f"engine benchmark: app={args.apps[0]} seeds={args.seeds}")
+    print(f"engine benchmark: app={args.apps[0]} seeds={args.seeds} "
+          f"cpus={os.cpu_count()}")
     for kind, row in results.items():
         print(f"  {kind:<8} host={row['host_seconds']:8.3f}s  "
               f"makespan={row['makespan']:.6g}s  "
@@ -146,7 +146,8 @@ def run_engine_bench(args: argparse.Namespace) -> int:
 
         with open(args.output, "w") as fh:
             json.dump({"app": args.apps[0], "seeds": list(args.seeds),
-                       "engines": results}, fh, indent=1, sort_keys=True)
+                       "cpu_count": os.cpu_count(), "engines": results},
+                      fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.output}")
     return 0
@@ -389,12 +390,10 @@ def main(argv=None) -> int:
                     "TEMPLATE into every measured cell (repeatable; the "
                     "end-to-end test hook for --explain)")
     wd.add_argument("--engine", default="seq", choices=list(ENGINE_KINDS),
-                    help="event engine inside each simulation (default seq); "
-                    "'mp' runs each cell on the shared-nothing multiprocess "
-                    "engine and also implies cell-level process parallelism")
+                    help="event engine inside each simulation (default seq)")
     wd.add_argument("--parallel", type=int, default=0, metavar="N",
                     help="fan the (app, seed) matrix cells out over N worker "
-                    "processes (0 = inline; implied by --engine mp)")
+                    "processes (0 = inline)")
     wd.add_argument("--ledger", default=None, metavar="DIR",
                     help="write one append-only run ledger per matrix cell "
                     "into DIR (tail with: python -m repro.telemetry watch)")
@@ -427,8 +426,6 @@ def main(argv=None) -> int:
                     help="engine-bench: simulated rank count per cell "
                     "(default: each app's own default, typically 4)")
     args = parser.parse_args(argv)
-    if args.engine == "mp" and args.parallel == 0:
-        args.parallel = default_processes()
 
     if args.resume is not None:
         if args.checkpoint_dir is None:

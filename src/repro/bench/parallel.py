@@ -1,21 +1,10 @@
 """Run-granularity host parallelism for the benchmark matrix.
 
-Two levels of host parallelism exist and compose:
-
-- *Inside one simulation*, the ``mp`` engine kind
-  (:class:`repro.sim.mpshard.MpShardedEngine`) forks one worker process
-  per rank-shard group and exchanges window-boundary event batches --
-  shared-nothing event-level parallelism with bit-for-bit results.
-- *Across the benchmark matrix* (this module), every (app, seed, config)
-  cell is an independent, deterministic simulation whose input spec and
-  output :class:`~repro.bench.history.BenchRecord` are plain picklable
-  data, so cells fan out over a process pool regardless of the engine
-  inside each cell.
-
-The two do not nest: pool workers are daemonic and may not fork, so an
-``mp``-engine cell dispatched to the pool transparently falls back to
-in-process sharded execution (identical results by the parity suite) --
-cell-level parallelism then supplies the host concurrency instead.
+Every (app, seed, config) cell of the benchmark matrix is an independent,
+deterministic simulation whose input spec and output
+:class:`~repro.bench.history.BenchRecord` are plain picklable data, so
+cells fan out over a process pool regardless of the engine inside each
+cell.
 
 The pool degrades gracefully: sandboxes without working POSIX semaphores
 (``sem_open`` returning ``EPERM``) and single-core hosts fall back to
@@ -38,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -255,27 +245,28 @@ def run_cells(
 
 # ------------------------------------------------------------ engine bench
 
+#: Timed passes per engine in :func:`engine_benchmark` (after one untimed
+#: warm-up cell); the median pass is reported.
+ENGINE_BENCH_REPEATS = 3
+
 
 def engine_benchmark(
     engines: Sequence[str] = ("seq", "sharded"),
     *,
     app: str = "potrf",
     seeds: Sequence[int] = (0,),
-    parallel: int = 0,
     **cell_kwargs: Any,
 ) -> Dict[str, Dict[str, float]]:
     """Host-time comparison of the event engines on one watchdog app.
 
-    Runs the same (app, seed) cells once per engine kind and reports, per
-    engine: total host seconds, the virtual makespan (identical across
-    engines by the determinism guarantee -- a mismatch here is a bug, and
-    is raised), and the host-seconds ratio over the first engine listed.
-    ``mp`` runs each cell on the multiprocess engine and *additionally*
-    fans the cells out over ``parallel`` worker processes when asked
-    (inside pool workers the engine falls back in-process; see the module
-    docstring).  The ratio is reported, never asserted on: host timing on
-    a shared or single-core machine is noise, only the makespan equality
-    is a correctness claim.
+    Per engine kind: one untimed warm-up cell, then
+    :data:`ENGINE_BENCH_REPEATS` timed passes over the same (app, seed)
+    cells, all inline.  Reports, per engine: the median pass's host
+    seconds, the virtual makespan (identical across engines and passes by
+    the determinism guarantee -- a mismatch here is a bug, and is raised),
+    and the host-seconds ratio over the first engine listed.  The ratio is
+    reported, never asserted on: host timing on a shared or single-core
+    machine is noise, only the makespan equality is a correctness claim.
     """
     results: Dict[str, Dict[str, float]] = {}
     reference: Optional[List[float]] = None
@@ -283,25 +274,26 @@ def engine_benchmark(
     for kind in engines:
         cells = [dict(cell_kwargs, app=app, seed=s, engine=kind)
                  for s in seeds]
-        t0 = time.perf_counter()
-        if kind == "mp":
-            records = run_cells(cells, processes=parallel or None)
-        else:
+        measure_cell(cells[0])  # warm-up: imports, caches, allocator
+        passes: List[float] = []
+        for _ in range(ENGINE_BENCH_REPEATS):
+            t0 = time.perf_counter()
             records = [measure_cell(c) for c in cells]
-        host = time.perf_counter() - t0
-        makespans = [r.makespan for r in records]
-        if reference is None:
-            reference = makespans
-        elif makespans != reference:
-            raise AssertionError(
-                f"engine {kind!r} diverged from {engines[0]!r}: "
-                f"{makespans} != {reference}"
-            )
+            passes.append(time.perf_counter() - t0)
+            makespans = [r.makespan for r in records]
+            if reference is None:
+                reference = makespans
+            elif makespans != reference:
+                raise AssertionError(
+                    f"engine {kind!r} diverged from {engines[0]!r}: "
+                    f"{makespans} != {reference}"
+                )
+        host = statistics.median(passes)
         if base_host is None:
             base_host = host
         results[kind] = {
             "host_seconds": host,
-            "makespan": makespans[0],
+            "makespan": reference[0],
             "speedup": base_host / host if host > 0 else 0.0,
         }
     return results

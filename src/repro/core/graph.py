@@ -206,8 +206,8 @@ class Executable:
             backend.checkpointer.bind_executable(self)
         register = getattr(backend, "register_executable", None)
         if register is not None:
-            # Runtime registry walks (event pickling for the mp engine
-            # and physical checkpoints) key executables by this order.
+            # The runtime registry walk behind physical checkpoints
+            # keys executables by this order.
             register(self)
         _notify_observers("executable", self)
 

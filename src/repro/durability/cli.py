@@ -323,7 +323,7 @@ def _add_cell_flags(p: argparse.ArgumentParser, *,
                    help="benchmark app (default mra)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="seq",
-                   help="event engine (seq | sharded | mp)")
+                   help="event engine (seq | sharded)")
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="measurement parameter override, e.g. "
                    "--param nfuncs=2 (repeatable)")

@@ -251,18 +251,13 @@ def test_adaptive_window_grows_above_lookahead_floor():
 
 
 def test_create_engine_kinds():
-    from repro.sim.mpshard import MpShardedEngine
-
     assert type(create_engine("seq")) is Engine
     sharded = create_engine("sharded", nranks=4)
     assert isinstance(sharded, ShardedEngine) and sharded.nshards == 4
-    mp_eng = create_engine("mp", nranks=2)
-    assert isinstance(mp_eng, MpShardedEngine)
-    assert isinstance(mp_eng, ShardedEngine)  # fallback path is inherited
-    mp_eng._release_arena()
-    with pytest.raises(ValueError):
-        create_engine("bogus")
-    assert set(ENGINE_KINDS) == {"seq", "sharded", "mp"}
+    for unknown in ("mp", "bogus"):
+        with pytest.raises(ValueError, match="known: .*seq.*sharded"):
+            create_engine(unknown)
+    assert set(ENGINE_KINDS) == {"seq", "sharded"}
 
 
 def test_shard_clocks_match_engine_clock():

@@ -12,7 +12,9 @@ Run: python examples/ptg_wavefront.py
 
 from repro.core.ptg import PTG, Flow, TaskClass
 from repro.runtime import ParsecBackend
-from repro.sim import Cluster, HAWK, Profile, Tracer
+from repro.sim import Cluster, HAWK
+from repro.telemetry import Telemetry
+from repro.telemetry.analyze import report
 
 
 def main() -> None:
@@ -44,10 +46,10 @@ def main() -> None:
         cost=lambda key, *a: 1.0e6,
     )
 
-    tracer = Tracer()
     cluster = Cluster(HAWK, 4)
+    tel = Telemetry(nranks=cluster.nranks, capacity=None)
     ptg = PTG([cell])
-    ex = ptg.executable(ParsecBackend(cluster, tracer=tracer))
+    ex = ptg.executable(ParsecBackend(cluster, telemetry=tel))
     # Boundary injection: row 0 needs its "north", column 0 its "west".
     for j in range(n):
         ptg.inject(ex, "CELL", "north", (0, j), 0)
@@ -63,7 +65,7 @@ def main() -> None:
         assert v == expect, ((i, j), v, expect)
     print(f"wavefront {n}x{n}: corner value {grid[(n-1, n-1)]}")
     print()
-    print(Profile(tracer, cluster).report())
+    print(report(tel))
     print("OK")
 
 

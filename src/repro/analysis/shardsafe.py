@@ -58,7 +58,7 @@ _RUNTIME_TYPE_NAMES = frozenset({
     "Backend", "ParsecBackend", "MadnessBackend",
     "Executable", "Cluster", "Engine", "ShardedEngine",
     "CommEngine", "RmaWindow", "EventBus", "Telemetry", "MetricsRegistry",
-    "World", "Sanitizer", "Tracer", "TerminationDetector", "WorkerPool",
+    "World", "Sanitizer", "TerminationDetector", "WorkerPool",
 })
 
 #: Scheduling entry points that must carry a rank hint (SHD008).

@@ -26,7 +26,6 @@ from repro.runtime.termination import TerminationDetector
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
 from repro.serialization.traits import select_protocol
 from repro.sim.cluster import Cluster
-from repro.sim.trace import Tracer
 from repro.telemetry.events import TID_PROTO, Telemetry
 
 #: Size charged for control-only active messages (task-id only, no data).
@@ -428,8 +427,6 @@ class WorkerPool:
                      tid: int, start: float,
                      pcie_bytes: Optional[int] = None) -> None:
         end = backend.engine.now
-        if backend.tracer is not None:
-            backend.tracer.record_task(name, task.key, self.rank, tid, start, end)
         tel = backend.telemetry
         if tel is not None:
             args = {"key": repr(task.key), "template": task.name,
@@ -498,13 +495,11 @@ class Backend:
         self,
         cluster: Cluster,
         config: Optional[BackendConfig] = None,
-        tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.config = config or BackendConfig()
-        self.tracer = tracer
         self.stats = RunStats()
         # TTG-San hook point: armed by Executable(strict/sanitize), see
         # repro.analysis.sanitizer.  None => zero-overhead default path.
@@ -531,7 +526,6 @@ class Backend:
         self.comm = CommEngine(
             cluster,
             am_cost_fn=lambda dst, nbytes: base_am + nbytes * per_byte,
-            tracer=tracer,
         )
         self.rma = RmaWindow(self.comm)
         self.pools = [WorkerPool(self, r) for r in range(cluster.nranks)]

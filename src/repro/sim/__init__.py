@@ -13,7 +13,8 @@ Public entry points:
 - :class:`~repro.sim.network.NetworkModel` -- latency/bandwidth/NIC model.
 - :class:`~repro.sim.cluster.Cluster` and the machine presets
   :data:`~repro.sim.cluster.HAWK` / :data:`~repro.sim.cluster.SEAWULF`.
-- :class:`~repro.sim.trace.Tracer` -- optional execution tracing.
+
+Execution traces are recorded by :mod:`repro.telemetry`, not here.
 """
 
 from repro.sim.engine import Engine, Event
@@ -21,8 +22,6 @@ from repro.sim.sharded import ENGINE_KINDS, ShardedEngine, create_engine
 from repro.sim.network import NetworkModel, NetworkSpec
 from repro.sim.node import NodeSpec
 from repro.sim.cluster import Cluster, MachineSpec, HAWK, SEAWULF, machine_by_name
-from repro.sim.trace import Tracer, TaskRecord, MessageRecord
-from repro.sim.profile import Profile, TemplateStats, RankStats
 
 __all__ = [
     "Engine",
@@ -38,10 +37,4 @@ __all__ = [
     "HAWK",
     "SEAWULF",
     "machine_by_name",
-    "Tracer",
-    "TaskRecord",
-    "MessageRecord",
-    "Profile",
-    "TemplateStats",
-    "RankStats",
 ]

@@ -13,11 +13,11 @@ records into:
 - :mod:`repro.telemetry.export` -- Chrome trace-event JSON (loads in
   Perfetto / chrome://tracing), JSONL event logs, counters JSON.
 - :mod:`repro.telemetry.analyze` -- critical-path extraction over the
-  recorded task/message DAG, per-template summaries, idle breakdowns,
-  run-to-run counter comparison.
-- :mod:`repro.telemetry.adapter` -- the legacy :class:`~repro.sim.trace.
-  Tracer` / Gantt / Profile views as consumers of the unified stream,
-  plus the :func:`~repro.telemetry.adapter.capture` recorder.
+  recorded task/message DAG, per-template summaries, idle breakdowns.
+- :mod:`repro.telemetry.diff` -- run-to-run differ (span totals, bytes,
+  idle, critical-path churn, counter deltas).
+- :mod:`repro.telemetry.adapter` -- the :func:`~repro.telemetry.adapter.
+  capture` recorder that attaches telemetry to every backend in a block.
 - :mod:`repro.telemetry.report_html` -- dependency-free single-file HTML
   run reports (inline-SVG Gantt with critical-path highlight, tables,
   sparklines, benchmark-history trend charts).
@@ -30,7 +30,7 @@ records into:
 - :mod:`repro.telemetry.live` -- streaming progress: tail a ledger and
   render a dependency-free console dashboard.
 - ``python -m repro.telemetry`` -- record / report / report-html /
-  export / critical-path / compare / validate / watch CLI
+  export / critical-path / diff / whatif / validate / watch CLI
   (:mod:`repro.telemetry.cli`).
 
 Telemetry is off by default and adds only a ``None``-check per hook when
@@ -69,12 +69,11 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.analyze import (
     CriticalPath,
-    compare_counters,
     critical_path,
     idle_breakdown,
     summary_by_template,
 )
-from repro.telemetry.adapter import RecordedRun, as_tracer, capture
+from repro.telemetry.adapter import RecordedRun, capture
 from repro.telemetry.report_html import (
     load_histories,
     render_report,
@@ -118,12 +117,10 @@ __all__ = [
     "write_counters_json",
     "write_jsonl",
     "CriticalPath",
-    "compare_counters",
     "critical_path",
     "idle_breakdown",
     "summary_by_template",
     "RecordedRun",
-    "as_tracer",
     "capture",
     "load_histories",
     "render_report",

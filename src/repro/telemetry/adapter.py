@@ -1,56 +1,18 @@
-"""Adapters between the unified event stream and the legacy sim views.
+"""The attach-everything recorder used by the telemetry CLI and bench harness.
 
-The pre-telemetry observability surface (:class:`repro.sim.trace.Tracer`,
-the Gantt SVG, :class:`repro.sim.profile.Profile`) stays fully supported:
-:func:`as_tracer` rebuilds a ``Tracer`` from the bus, so every existing
-consumer renders a telemetry recording unchanged::
-
-    tel = Telemetry()
-    backend = ParsecBackend(cluster, telemetry=tel)
-    ...run...
-    svg = gantt_svg(as_tracer(tel), cluster)
-    print(Profile(as_tracer(tel), cluster).report())
-
-:func:`capture` is the attach-everything recorder used by the telemetry
-CLI and the bench harness: a context manager that hooks graph
-construction and gives every backend bound inside the ``with`` block its
-own :class:`~repro.telemetry.events.Telemetry`.
+:func:`capture` is a context manager that hooks graph construction and
+gives every backend bound inside the ``with`` block its own
+:class:`~repro.telemetry.events.Telemetry`; each capture comes back as a
+:class:`RecordedRun`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Union
+from typing import Any, Iterator, List, Optional
 
-from repro.sim.trace import Tracer
-from repro.telemetry.events import EventBus, Telemetry
-
-
-def _bus_of(source: Union[Telemetry, EventBus]) -> EventBus:
-    return source.bus if isinstance(source, Telemetry) else source
-
-
-def as_tracer(source: Union[Telemetry, EventBus]) -> Tracer:
-    """A legacy :class:`Tracer` view over a recorded event stream.
-
-    Task spans become :class:`TaskRecord` rows (key is its repr, as
-    recorded); transport spans (``am:*`` / ``rma:*``) become
-    :class:`MessageRecord` rows.
-    """
-    tracer = Tracer()
-    for ev in _bus_of(source).spans():
-        if ev.cat == "task":
-            tracer.record_task(
-                ev.name, ev.args.get("key"), ev.rank, ev.tid, ev.start, ev.end
-            )
-        elif ev.cat == "comm" and "src" in ev.args:
-            tag = ev.name.split(":", 1)[-1]
-            tracer.record_message(
-                int(ev.args["src"]), ev.rank, int(ev.args.get("nbytes", 0)),
-                ev.start, ev.end, tag=tag,
-            )
-    return tracer
+from repro.telemetry.events import Telemetry
 
 
 @dataclass

@@ -8,14 +8,13 @@ its bus, or a bus re-ingested from JSONL):
   link producer task instances to consumer instances by label).
 - :func:`summary_by_template` -- count/total/mean/max per template.
 - :func:`idle_breakdown` -- per-rank busy vs. comm vs. idle time.
-- :func:`compare_counters` -- delta table between two counters JSONs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.events import EventBus, SpanEvent, Telemetry
 
@@ -272,32 +271,4 @@ def report(source: Union[Telemetry, EventBus]) -> str:
         for ev in san[:10]:
             lines.append(f"  {ev.name} @{ev.ts * 1e6:.2f}us "
                          f"{ev.args.get('location', '')}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------- compare
-
-
-def compare_counters(
-    a: Dict[str, Any], b: Dict[str, Any]
-) -> List[Tuple[str, float, float, float]]:
-    """Rows of ``(counter, value_a, value_b, delta)`` between two runs.
-
-    Takes the payloads of :func:`repro.telemetry.export.read_counters_json`;
-    histogram entries compare their totals.  Thin wrapper over the single
-    alignment path in :func:`repro.telemetry.diff.diff_counter_payloads`
-    (the lazy import breaks the analyze <-> diff module cycle).
-    """
-    from repro.telemetry.diff import diff_counter_payloads
-
-    return diff_counter_payloads(a, b)
-
-
-def format_compare(rows: List[Tuple[str, float, float, float]],
-                   only_changed: bool = False) -> str:
-    lines = [f"{'counter':<52}{'run A':>14}{'run B':>14}{'delta':>14}"]
-    for key, va, vb, delta in rows:
-        if only_changed and delta == 0.0:
-            continue
-        lines.append(f"{key:<52}{va:>14.6g}{vb:>14.6g}{delta:>+14.6g}")
     return "\n".join(lines)

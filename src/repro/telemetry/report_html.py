@@ -43,7 +43,7 @@ from repro.telemetry.events import (
     THREAD_NAMES,
 )
 
-#: Okabe-Ito-ish template colors (match the legacy Gantt SVG).
+#: Okabe-Ito-ish template colors.
 _COLORS = [
     "#0072B2", "#E69F00", "#009E73", "#D55E00",
     "#CC79A7", "#56B4E9", "#F0E442", "#999999",

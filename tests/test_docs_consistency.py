@@ -44,7 +44,7 @@ def test_docs_reference_existing_modules():
             nxt_file = path / f"{p}.py"
             assert nxt_dir.is_dir() or nxt_file.exists(), mod
             path = nxt_dir
-        # attribute references like repro.sim.profile are fine as files
+        # a module path like repro.telemetry.analyze resolves to a file
 
 
 def test_design_no_title_collision_note():

@@ -4,7 +4,7 @@ engine bit-for-bit on every application.
 The sharded executor's determinism argument (exact global ``(time, seq)``
 replay inside each conservative window, see :mod:`repro.sim.sharded`) is
 asserted here at full strength: run stats, per-template task counts,
-tracer task/message records, bench measurements and sanitizer findings
+telemetry task and comm spans, bench measurements and sanitizer findings
 must be *identical* -- not approximately equal -- across engines, for all
 four paper applications at several rank counts.
 """
@@ -15,15 +15,20 @@ import pytest
 
 from repro import core as ttg
 from repro.runtime import ParsecBackend
-from repro.sim import Cluster, HAWK, Tracer
+from repro.sim import Cluster, HAWK
 from repro.sim.sharded import ShardedEngine
+from repro.telemetry import Telemetry
+
+#: Span args compared across engines: the task key, and the source rank
+#: and payload size of a transfer.
+_SPAN_ARGS = ("key", "src", "nbytes")
 
 
 def _run(app, kind, nranks, trace=False):
     """One simulated run; returns everything comparable about it."""
-    tracer = Tracer() if trace else None
+    tel = Telemetry(nranks, capacity=None) if trace else None
     cluster = Cluster.with_engine(HAWK.with_workers(4), nranks, engine=kind)
-    backend = ParsecBackend(cluster, tracer=tracer)
+    backend = ParsecBackend(cluster, telemetry=tel)
     if app == "potrf":
         from repro.apps.cholesky import cholesky_ttg
         from repro.bench.history import SeededBlockCyclic
@@ -57,10 +62,18 @@ def _run(app, kind, nranks, trace=False):
         "stats": backend.stats.as_dict(),
         "makespan": res.makespan,
         "task_counts": dict(res.task_counts),
-        "tasks": None if tracer is None else tracer.tasks,
-        "messages": None if tracer is None else tracer.messages,
+        "tasks": None if tel is None else _spans(tel, "task"),
+        "messages": None if tel is None else _spans(tel, "comm"),
         "engine": cluster.engine,
     }
+
+
+def _spans(tel, cat):
+    return [
+        (ev.name, ev.rank, ev.tid, ev.start, ev.end,
+         tuple(ev.args.get(a) for a in _SPAN_ARGS))
+        for ev in tel.bus.spans(cat)
+    ]
 
 
 @pytest.mark.parametrize("nranks", [4, 16, 64])
@@ -77,6 +90,7 @@ def test_sharded_matches_sequential(app, nranks):
 def test_trace_records_identical(app):
     seq = _run(app, "seq", 4, trace=True)
     sharded = _run(app, "sharded", 4, trace=True)
+    assert seq["tasks"] and seq["messages"]
     assert sharded["tasks"] == seq["tasks"]
     assert sharded["messages"] == seq["messages"]
 

@@ -1,4 +1,4 @@
-"""Tests for the Gantt SVG export and the bench CLI."""
+"""Tests for the Gantt timeline SVG and the bench CLI."""
 
 import pytest
 
@@ -6,54 +6,53 @@ from repro.apps.floydwarshall import floyd_warshall_ttg
 from repro.bench.__main__ import main as bench_main
 from repro.linalg import BlockCyclicDistribution, TiledMatrix, random_weight_matrix
 from repro.runtime import ParsecBackend
-from repro.sim import Cluster, HAWK, Tracer
-from repro.sim.gantt import gantt_svg, write_gantt
+from repro.sim import Cluster, HAWK
+from repro.telemetry import EventBus, Telemetry
+from repro.telemetry.report_html import gantt_svg
 
 
 @pytest.fixture(scope="module")
 def traced():
-    tracer = Tracer()
-    cluster = Cluster(HAWK, 2)
+    tel = Telemetry(nranks=2, capacity=None)
     w = random_weight_matrix(48, seed=1)
     W = TiledMatrix.from_dense(w, 16, BlockCyclicDistribution.for_ranks(2))
-    floyd_warshall_ttg(W, ParsecBackend(cluster, tracer=tracer))
-    return tracer, cluster
+    floyd_warshall_ttg(W, ParsecBackend(Cluster(HAWK, 2), telemetry=tel))
+    return tel
+
+
+def _lane_labels(svg):
+    return svg.count('<text x="2"')
 
 
 def test_gantt_svg_structure(traced):
-    tracer, cluster = traced
-    svg = gantt_svg(tracer, cluster)
+    svg = gantt_svg(traced)
     assert svg.startswith("<svg")
-    assert svg.endswith("</svg>")
-    assert svg.count("<rect") >= len(tracer.tasks)
+    assert "</svg>" in svg
+    assert svg.count("<rect") >= len(traced.bus.spans("task"))
     assert "FW_D" in svg  # legend entry
-    assert "rank 0" in svg and "rank 1" in svg
+    assert "r0 w0" in svg and "r1 w0" in svg
 
 
 def test_gantt_rect_count_capped(traced):
-    tracer, cluster = traced
-    svg = gantt_svg(tracer, cluster, max_lanes=1)
-    assert svg.count("rank") >= 1
+    assert _lane_labels(gantt_svg(traced)) > 1
+    capped = gantt_svg(traced, max_lanes=1)
+    assert _lane_labels(capped) == 1
+    assert capped.count("<rect") < gantt_svg(traced).count("<rect")
 
 
 def test_gantt_empty_trace():
-    svg = gantt_svg(Tracer())
-    assert "empty trace" in svg
-
-
-def test_write_gantt(tmp_path, traced):
-    tracer, cluster = traced
-    path = tmp_path / "run.svg"
-    write_gantt(str(path), tracer, cluster)
-    assert path.read_text().startswith("<svg")
+    svg = gantt_svg(EventBus(capacity=None))
+    assert "no spans recorded" in svg
 
 
 def test_gantt_escapes_keys():
-    tracer = Tracer()
-    tracer.record_task("<evil>", "<key&>", 0, 0, 0.0, 1.0)
-    svg = gantt_svg(tracer)
+    bus = EventBus(capacity=None)
+    bus.complete("<evil>", 0, 0, 0.0, 1.0, cat="task",
+                 args={"key": "<key&>", "template": "<evil>"})
+    svg = gantt_svg(bus)
     assert "<evil>" not in svg
     assert "&lt;evil&gt;" in svg
+    assert "&lt;key&amp;&gt;" in svg
 
 
 def test_cli_table1(capsys):

@@ -8,10 +8,8 @@ from repro.linalg import BlockCyclicDistribution, TiledMatrix, spd_matrix
 from repro.runtime import ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
 from repro.telemetry.analyze import (
-    compare_counters,
     critical_path,
     dep_edges,
-    format_compare,
     idle_breakdown,
     report,
     summary_by_template,
@@ -133,21 +131,6 @@ def test_cholesky_critical_path_matches_known_chain(cholesky_path):
     assert 0.0 < cp.fraction <= 1.0
 
 
-def test_compare_counters_and_format():
-    a = {"counters": {"tasks": {"value": 3.0}, "old": {"value": 1.0},
-                      "h": {"total": 5.0, "count": 2}}}
-    b = {"counters": {"tasks": {"value": 5.0}, "new": {"value": 2.0},
-                      "h": {"total": 5.0, "count": 2}}}
-    rows = compare_counters(a, b)
-    as_map = {k: (va, vb, d) for k, va, vb, d in rows}
-    assert as_map["tasks"] == (3.0, 5.0, 2.0)
-    assert as_map["old"] == (1.0, 0.0, -1.0)
-    assert as_map["new"] == (0.0, 2.0, 2.0)
-    assert as_map["h"] == (5.0, 5.0, 0.0)
-    text = format_compare(rows, only_changed=True)
-    assert "tasks" in text and "h" not in text.split("\n", 1)[1]
-
-
 def test_report_on_empty_bus():
     text = report(EventBus(capacity=None))
     assert "events: 0" in text and "WARNING" not in text
@@ -181,16 +164,6 @@ def test_idle_breakdown_zero_task_rank():
 
 def test_idle_breakdown_empty_bus():
     assert idle_breakdown(EventBus(capacity=None)) == []
-
-
-def test_compare_counters_missing_histogram_fields():
-    # Snapshots without value/total (hand-written or pre-v1): fall back to
-    # count, then 0.0 -- never KeyError.
-    a = {"counters": {"h": {"count": 4}, "weird": {"p50": 1.0}}}
-    b = {"counters": {"h": {"count": 6}}}
-    as_map = {k: (va, vb, d) for k, va, vb, d in compare_counters(a, b)}
-    assert as_map["h"] == (4.0, 6.0, 2.0)
-    assert as_map["weird"] == (0.0, 0.0, 0.0)
 
 
 def test_summary_and_critical_path_on_comm_only_bus():

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.bench.history import BenchHistory, BenchRecord
-from repro.telemetry.analyze import compare_counters
 from repro.telemetry.diff import (
     RunView,
     counter_scalar,
@@ -67,12 +66,26 @@ def test_diff_counter_payloads_aligns_missing_keys():
                     ("z", 0.0, 3.0, 3.0)]
 
 
-def test_compare_counters_is_the_same_alignment_path():
-    # Satellite: `telemetry compare` folded into the diff engine -- the
-    # analyze wrapper must return byte-identical rows.
-    a = {"counters": {"k": {"total": 7.0}, "g": {"value": 1.0}}}
-    b = {"counters": {"k": {"total": 9.0}}}
-    assert compare_counters(a, b) == diff_counter_payloads(a, b)
+def test_diff_counter_payloads_scalarizes_snapshots():
+    a = {"counters": {"tasks": {"value": 3.0}, "old": {"value": 1.0},
+                      "h": {"total": 5.0, "count": 2}}}
+    b = {"counters": {"tasks": {"value": 5.0}, "new": {"value": 2.0},
+                      "h": {"total": 5.0, "count": 2}}}
+    as_map = {k: (va, vb, d) for k, va, vb, d in diff_counter_payloads(a, b)}
+    assert as_map["tasks"] == (3.0, 5.0, 2.0)
+    assert as_map["old"] == (1.0, 0.0, -1.0)
+    assert as_map["new"] == (0.0, 2.0, 2.0)
+    assert as_map["h"] == (5.0, 5.0, 0.0)
+
+
+def test_diff_counter_payloads_missing_histogram_fields():
+    # Snapshots without value/total (hand-written or pre-v1): fall back to
+    # count, then 0.0 -- never KeyError.
+    a = {"counters": {"h": {"count": 4}, "weird": {"p50": 1.0}}}
+    b = {"counters": {"h": {"count": 6}}}
+    as_map = {k: (va, vb, d) for k, va, vb, d in diff_counter_payloads(a, b)}
+    assert as_map["h"] == (4.0, 6.0, 2.0)
+    assert as_map["weird"] == (0.0, 0.0, 0.0)
 
 
 # -------------------------------------------------------------- run views
@@ -299,15 +312,19 @@ def test_cli_diff_rejects_garbage(tmp_path):
     assert "not a JSON" in text
 
 
-def test_cli_compare_is_deprecated_alias(tmp_path):
+def test_cli_diff_counters_hides_unchanged_rows(tmp_path):
     payload = {"schema": "repro.telemetry/counters-v1",
-               "counters": {"x": 1.0}}
+               "counters": {"x": 1.0, "same": 4.0}}
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(json.dumps(payload))
-    b.write_text(json.dumps(dict(payload, counters={"x": 3.0})))
-    code, text = _cli("compare", str(a), str(b))
+    b.write_text(json.dumps(dict(payload, counters={"x": 3.0, "same": 4.0})))
+    code, text = _cli("diff", str(a), str(b))
     assert code == 0
-    assert "deprecated" in text
-    assert "use 'diff'" in text
-    assert "x" in text and "+2" in text
+    rows = {line.split()[0]: line for line in text.splitlines() if line}
+    assert "+2" in rows["x"]
+    assert "same" not in rows
+    code, text = _cli("diff", str(a), str(b), "--all")
+    assert code == 0 and "same" in text
+    with pytest.raises(SystemExit):   # the old `compare` alias is gone
+        _cli("compare", str(a), str(b))

@@ -123,6 +123,18 @@ def test_event_json_codec_all_kinds():
         event_to_json(object())
 
 
+def test_chrome_span_shape_and_zero_duration_clamped():
+    bus = EventBus(capacity=None)
+    bus.complete("A", 0, 3, 0.0, 1e-3, cat="task", args={"key": "(1, 2)"})
+    bus.complete("Z", 1, 0, 1.0, 1.0, cat="task")
+    spans = {e["name"]: e for e in to_chrome_events(bus) if e["ph"] == "X"}
+    task = spans["A"]
+    assert task["pid"] == 0 and task["tid"] == 3
+    assert task["ts"] == 0.0 and task["dur"] == pytest.approx(1000.0)
+    assert task["args"]["key"] == "(1, 2)"
+    assert spans["Z"]["dur"] > 0   # zero-length spans stay visible
+
+
 def test_counters_json_round_trip(cholesky_telemetry, tmp_path):
     path = tmp_path / "counters.json"
     write_counters_json(str(path), cholesky_telemetry, meta={"run": "t"})
